@@ -3,15 +3,16 @@
 //! Mirrors the paper's deployment flow (Section IV-A): model parameters are
 //! quantized from 32-bit float to a 16-bit fixed-point representation and
 //! packed, layer by layer, into the BSR format at the accelerator-operation
-//! block granularity chosen by the tile planner. Activation formats are
-//! calibrated by running the float reference executor over a handful of
-//! samples.
+//! block granularity chosen by the tile planner. Activation formats come
+//! from [`iprune_models::graphref::calibrate`] — the float reference
+//! executor over a handful of samples — the same calibration the host
+//! Q15 evaluator uses, so both see identical formats.
 
 use crate::bsr::BsrMatrix;
-use crate::graph_exec::run_graph;
 use crate::plan::LayerPlan;
 use iprune_datasets::Dataset;
 use iprune_models::arch::{GraphOp, ModelInfo};
+use iprune_models::graphref::calibrate;
 use iprune_models::{LayerWeights, Model};
 use iprune_tensor::quant::{QFormat, QTensor};
 
@@ -98,28 +99,7 @@ pub fn deploy(model: &mut Model, calib: &Dataset, n_calib: usize) -> DeployedMod
     let weights = model.extract_weights();
     let info = model.info.clone();
 
-    // --- calibrate per-buffer ranges with the float reference ---
-    let mut max_abs = vec![0.0f32; info.buffers.len()];
-    for i in 0..n_calib.min(calib.len()) {
-        let bufs = run_graph(&info, &weights, &calib.sample(i));
-        for (m, buf) in max_abs.iter_mut().zip(bufs.iter()) {
-            for &v in buf {
-                *m = m.max(v.abs());
-            }
-        }
-    }
-    let mut buf_fmts: Vec<QFormat> =
-        max_abs.iter().map(|&m| QFormat::for_max_abs(m * 1.1 + 1e-6)).collect();
-    // Shape-preserving ops must keep their input format so the quantized
-    // engine can copy/compare values without requantization.
-    for op in &info.graph {
-        match op {
-            GraphOp::MaxPool { src, dst, .. }
-            | GraphOp::GlobalAvgPool { src, dst }
-            | GraphOp::Flatten { src, dst } => buf_fmts[*dst] = buf_fmts[*src],
-            _ => {}
-        }
-    }
+    let buf_fmts = calibrate(&info, &weights, calib, n_calib, QFormat::for_max_abs);
 
     // --- quantize and pack each prunable layer ---
     let layers: Vec<DeployedLayer> = weights

@@ -933,8 +933,8 @@ fn split_bufs(bufs: &mut [Vec<i16>], src: usize, dst: usize) -> (&[i16], &mut [i
 mod tests {
     use super::*;
     use crate::deploy::deploy;
-    use crate::graph_exec::run_graph_logits;
     use iprune_device::PowerStrength;
+    use iprune_models::graphref::run_graph_logits;
     use iprune_models::zoo::App;
 
     fn har_deployed() -> (DeployedModel, iprune_datasets::Dataset) {

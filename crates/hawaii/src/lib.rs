@@ -19,7 +19,6 @@
 pub mod bsr;
 pub mod deploy;
 pub mod exec;
-pub mod graph_exec;
 pub mod layout;
 pub mod plan;
 pub mod tiling;

@@ -20,10 +20,11 @@
 //!   traffic and twice the SIMD lanes of Q15, at a larger quantization
 //!   error. `IPRUNE_EVAL=q8` routes evaluation through it.
 //!
-//! Calibration mirrors `iprune-hawaii`'s `deploy` step exactly: per-buffer
-//! ranges from the float reference executor ([`crate::graphref`]) over a
-//! handful of samples, shape-preserving ops pinned to their input format,
-//! and (for Q15) the bias format capped at the accumulator depth.
+//! Calibration is shared with `iprune-hawaii`'s `deploy` step: both call
+//! [`crate::graphref::calibrate`] (per-buffer ranges from the float
+//! reference executor over a handful of samples, shape-preserving ops
+//! pinned to their input format), and for Q15 the bias format is capped
+//! at the accumulator depth the same way.
 //!
 //! Both engines accept an [`ExecCtx`] (`forward_q15_with` /
 //! `forward_q8_with`) so hot paths — the serving loop, repeated
@@ -32,7 +33,7 @@
 //! over a throwaway context and are bitwise identical.
 
 use crate::arch::{GraphOp, ModelInfo, PrunableInfo, PrunableKind};
-use crate::graphref::run_graph;
+use crate::graphref::calibrate;
 use crate::model::Model;
 use iprune_datasets::Dataset;
 use iprune_tensor::exec::ExecCtx;
@@ -421,40 +422,6 @@ impl Quantized8Model {
         let mut ctx = ExecCtx::new();
         evaluate_with(ds, |x| self.forward_q8_with(x, &mut ctx))
     }
-}
-
-/// Per-buffer activation formats from float-reference ranges: `fmt_for`
-/// maps each buffer's calibrated `max_abs * 1.1 + 1e-6` to a format, then
-/// shape-preserving ops are pinned to their input's format.
-fn calibrate<F, Fmt: Copy>(
-    info: &ModelInfo,
-    weights: &[crate::model::LayerWeights],
-    calib: &Dataset,
-    n_calib: usize,
-    fmt_for: F,
-) -> Vec<Fmt>
-where
-    F: Fn(f32) -> Fmt,
-{
-    let mut max_abs = vec![0.0f32; info.buffers.len()];
-    for i in 0..n_calib.min(calib.len()) {
-        let bufs = run_graph(info, weights, &calib.sample(i));
-        for (m, buf) in max_abs.iter_mut().zip(bufs.iter()) {
-            for &v in buf {
-                *m = m.max(v.abs());
-            }
-        }
-    }
-    let mut buf_fmts: Vec<Fmt> = max_abs.iter().map(|&m| fmt_for(m * 1.1 + 1e-6)).collect();
-    for op in &info.graph {
-        match op {
-            GraphOp::MaxPool { src, dst, .. }
-            | GraphOp::GlobalAvgPool { src, dst }
-            | GraphOp::Flatten { src, dst } => buf_fmts[*dst] = buf_fmts[*src],
-            _ => {}
-        }
-    }
-    buf_fmts
 }
 
 /// GEMM dims `(m, k)` of a prunable layer.

@@ -30,7 +30,8 @@ pub mod report;
 pub mod server;
 
 pub use registry::{
-    DeviceProfile, DispatchPlan, LoadedVariant, ModelRegistry, PlanRow, RegistryConfig, VariantKey,
+    DeviceProfile, DispatchPlan, LoadedVariant, ModelRegistry, PlanRow, RegistryConfig,
+    RegistryStats, VariantKey,
 };
 pub use report::{AdmissionBlock, ServingReport, ThroughputRow, VariantRow};
 pub use server::{

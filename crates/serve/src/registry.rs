@@ -240,17 +240,32 @@ impl Default for RegistryConfig {
 /// once and every caller gets the same `Arc`. Builds are deterministic
 /// (seeded initializers + magnitude masks), so two processes loading the
 /// same key hold bitwise-identical weights.
+///
+/// Each registry counts its own loads and hits ([`stats`](Self::stats));
+/// the process-wide `serve.registry.loads` / `serve.registry.hits` metrics
+/// export the sum over every registry in the process.
 pub struct ModelRegistry {
     cfg: RegistryConfig,
     slots: Mutex<HashMap<VariantKey, Arc<LoadedVariant>>>,
+    loads: Counter,
+    hits: Counter,
 }
 
-fn load_counter() -> &'static Arc<Counter> {
+/// Load and hit counts of one [`ModelRegistry`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RegistryStats {
+    /// Variants built (first requests for a key).
+    pub loads: u64,
+    /// Requests served from an already-loaded variant.
+    pub hits: u64,
+}
+
+fn global_loads() -> &'static Arc<Counter> {
     static C: OnceLock<Arc<Counter>> = OnceLock::new();
     C.get_or_init(|| metrics::counter("serve.registry.loads"))
 }
 
-fn hit_counter() -> &'static Arc<Counter> {
+fn global_hits() -> &'static Arc<Counter> {
     static C: OnceLock<Arc<Counter>> = OnceLock::new();
     C.get_or_init(|| metrics::counter("serve.registry.hits"))
 }
@@ -264,17 +279,30 @@ impl Default for ModelRegistry {
 impl ModelRegistry {
     /// Creates an empty registry.
     pub fn new(cfg: RegistryConfig) -> Self {
-        Self { cfg, slots: Mutex::new(HashMap::new()) }
+        Self {
+            cfg,
+            slots: Mutex::new(HashMap::new()),
+            loads: Counter::default(),
+            hits: Counter::default(),
+        }
+    }
+
+    /// This registry's own load and hit counts (unaffected by any other
+    /// registry in the process).
+    pub fn stats(&self) -> RegistryStats {
+        RegistryStats { loads: self.loads.get(), hits: self.hits.get() }
     }
 
     /// Returns the variant for `key`, building it on first use.
     pub fn get_or_load(&self, key: VariantKey) -> Arc<LoadedVariant> {
         let mut slots = self.slots.lock().expect("registry lock");
         if let Some(v) = slots.get(&key) {
-            hit_counter().inc();
+            self.hits.inc();
+            global_hits().inc();
             return Arc::clone(v);
         }
-        load_counter().inc();
+        self.loads.inc();
+        global_loads().inc();
         let v = Arc::new(self.build(key));
         slots.insert(key, Arc::clone(&v));
         v
@@ -342,11 +370,10 @@ mod tests {
     fn registry_loads_once_and_shares() {
         let reg = ModelRegistry::default();
         let key = VariantKey::new(App::Har, DeviceProfile::Nominal, PowerStrength::Strong);
-        let loads0 = load_counter().get();
         let a = reg.get_or_load(key);
         let b = reg.get_or_load(key);
         assert!(Arc::ptr_eq(&a, &b), "same Arc for the same key");
-        assert_eq!(load_counter().get() - loads0, 1, "one load, then hits");
+        assert_eq!(reg.stats(), RegistryStats { loads: 1, hits: 1 }, "one load, then hits");
         assert!(a.plan.cost < a.plan.dense_macs, "pruned variant costs less than dense");
         assert!(a.qmodel.is_some(), "Q15 tables built at load");
     }
